@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rayon::prelude::*;
-use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan, PagingModel};
+use sp2_cluster::{run_campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan, PagingModel};
 use sp2_core::experiments::{experiment, ExperimentInput};
 use sp2_core::Json;
 use sp2_hpm::{nas_selection, EventSet, Hpm, Mode, Signal};
@@ -136,8 +136,15 @@ fn print_cluster_ablations() {
     let results: Vec<_> = configs
         .par_iter()
         .map(|cfg| {
-            run_campaign(cfg, &library, &jobs, spec.days, &FaultPlan::none())
-                .expect("campaign runs")
+            run_campaign(
+                cfg,
+                &library,
+                &jobs,
+                spec.days,
+                &FaultPlan::none(),
+                EngineConfig::default().engine(EngineKind::Reference).into(),
+            )
+            .expect("campaign runs")
         })
         .collect();
 

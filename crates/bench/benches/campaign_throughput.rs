@@ -23,8 +23,8 @@
 //!   reference speedup (default 6.0; the acceptance floor).
 
 use sp2_cluster::{
-    metrics as cluster_metrics, run_campaign_cfg, run_campaign_cfg_spill, CampaignResult,
-    ClusterConfig, EngineConfig, EngineKind, FaultPlan, SystemSample,
+    metrics as cluster_metrics, run_campaign, CampaignResult, ClusterConfig, EngineConfig,
+    EngineKind, FaultPlan, RunOptions, SystemSample,
 };
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
@@ -80,13 +80,13 @@ fn main() {
     // cold-start cost alone and the speedup ratios skew.
     for kind in [EngineKind::Reference, EngineKind::Batch] {
         let warm = EngineConfig::default().engine(kind);
-        run_campaign_cfg(
+        run_campaign(
             &config,
             &library,
             &jobs,
             days.min(2),
             &FaultPlan::none(),
-            &warm,
+            warm.into(),
         )
         .expect("warm-up campaign runs");
     }
@@ -94,8 +94,15 @@ fn main() {
     for (name, kind, threads) in variants {
         let engine = EngineConfig::default().engine(kind).threads(threads);
         let t0 = Instant::now();
-        let result = run_campaign_cfg(&config, &library, &jobs, days, &FaultPlan::none(), &engine)
-            .expect("campaign runs");
+        let result = run_campaign(
+            &config,
+            &library,
+            &jobs,
+            days,
+            &FaultPlan::none(),
+            engine.into(),
+        )
+        .expect("campaign runs");
         let seconds = t0.elapsed().as_secs_f64();
         let days_per_s = days as f64 / seconds.max(1e-9);
         let label = format!("{name}/{threads}t");
@@ -140,8 +147,15 @@ fn main() {
     // stays out of the timed variants above (spans cost a little).
     cluster_metrics::reset();
     let probe = EngineConfig::default().threads(8).metrics(true);
-    run_campaign_cfg(&config, &library, &jobs, days, &FaultPlan::none(), &probe)
-        .expect("probe campaign runs");
+    run_campaign(
+        &config,
+        &library,
+        &jobs,
+        days,
+        &FaultPlan::none(),
+        probe.into(),
+    )
+    .expect("probe campaign runs");
     sp2_trace::set_enabled(false);
     let sweeps = cluster_metrics::SWEEPS.get();
     let elided = cluster_metrics::SWEEPS_ELIDED.get();
@@ -167,15 +181,16 @@ fn main() {
     let run_spill = |engine: &EngineConfig| {
         let mut sink: Vec<SystemSample> = Vec::new();
         let t0 = Instant::now();
-        run_campaign_cfg_spill(
+        run_campaign(
             &config,
             &library,
             &lh_jobs,
             long_days,
             &lh_faults,
-            engine,
-            None,
-            Some(&mut sink),
+            RunOptions {
+                spill: Some(&mut sink),
+                ..(*engine).into()
+            },
         )
         .expect("long-horizon campaign runs");
         (t0.elapsed().as_secs_f64(), sink)

@@ -93,13 +93,16 @@ fn main() {
         // can't help here, so this stays flat across the A/B.
         let jobs = trace::generate(&spec, &mix, &library);
         let t0 = Instant::now();
-        let result = sp2_cluster::run_campaign_with_threads(
+        let result = sp2_cluster::run_campaign(
             &config,
             &library,
             &jobs,
             days,
-            1,
             &sp2_cluster::FaultPlan::none(),
+            sp2_cluster::EngineConfig::default()
+                .engine(sp2_cluster::EngineKind::Reference)
+                .threads(1)
+                .into(),
         )
         .expect("campaign runs");
         let campaign_s = t0.elapsed().as_secs_f64();

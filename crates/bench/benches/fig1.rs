@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sp2_bench::bench_system;
-use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_cluster::{run_campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_core::experiments::{experiment, ExperimentInput};
 use sp2_core::Json;
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
@@ -37,7 +37,16 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1");
     g.sample_size(10);
     g.bench_function("campaign_3day", |b| {
-        b.iter(|| run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none()))
+        b.iter(|| {
+            run_campaign(
+                &config,
+                &library,
+                &jobs,
+                spec.days,
+                &FaultPlan::none(),
+                EngineConfig::default().engine(EngineKind::Reference).into(),
+            )
+        })
     });
     g.finish();
 }

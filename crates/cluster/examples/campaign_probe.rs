@@ -1,4 +1,4 @@
-use sp2_cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_cluster::{run_campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
 fn main() {
@@ -28,7 +28,15 @@ fn main() {
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
     eprintln!("{} jobs submitted", jobs.len());
     let t1 = std::time::Instant::now();
-    let r = match run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none()) {
+    let reference = EngineConfig::default().engine(EngineKind::Reference);
+    let r = match run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &FaultPlan::none(),
+        reference.into(),
+    ) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("campaign failed: {e}");

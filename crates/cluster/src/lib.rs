@@ -38,9 +38,8 @@ pub use paging::PagingModel;
 pub use result::{CampaignResult, FaultSummary};
 pub use rotate::{plan_signals, plan_signals_with_passes, run_campaign_rotated, RotatedCampaign};
 pub use sim::{
-    run_campaign, run_campaign_cfg, run_campaign_cfg_cancellable, run_campaign_cfg_spill,
-    run_campaign_with_threads, run_replications, CampaignError, CancelToken, ClusterConfig,
-    ClusterConfigBuilder, ClusterConfigError,
+    run_campaign, run_campaign_cfg_cancellable, run_replications, CampaignError, CancelToken,
+    ClusterConfig, ClusterConfigBuilder, ClusterConfigError, RunOptions,
 };
 pub use sp2_rs2hpm::{SampleSink, SystemSample};
 pub use state::NodeState;

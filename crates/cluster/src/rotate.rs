@@ -18,16 +18,15 @@
 //! signal's observed coverage back to the full interval with per-signal
 //! error bounds.
 //!
-//! A single-pass plan degenerates to [`run_campaign_cfg`]
-//! (`crate::run_campaign_cfg`) by construction, so its reconstruction is
-//! bit-identical to the direct campaign with multiplexing error exactly
-//! zero — the property `tests/toplev.rs` pins down.
+//! A single-pass plan degenerates to [`run_campaign`] by construction,
+//! so its reconstruction is bit-identical to the direct campaign with
+//! multiplexing error exactly zero — the property `tests/toplev.rs`
+//! pins down.
 
 use crate::engine::EngineConfig;
 use crate::faults::FaultPlan;
 use crate::result::CampaignResult;
-use crate::sim::{run_campaign_cfg_cancellable, CampaignError, CancelToken, ClusterConfig};
-use serde::{Deserialize, Serialize};
+use crate::sim::{run_campaign, CampaignError, CancelToken, ClusterConfig, RunOptions};
 use sp2_hpm::{PlanError, SchedulePlan, Signal};
 use sp2_rs2hpm::{reconstruct, ReconstructError, Reconstruction, SystemSample};
 use sp2_workload::{SubmittedJob, WorkloadLibrary};
@@ -53,7 +52,7 @@ pub fn plan_signals_with_passes(
 
 /// A completed rotated campaign: the plan it executed and one full
 /// campaign result per pass, in plan order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RotatedCampaign {
     /// The pass sequence the rotation cycled through.
     pub plan: SchedulePlan,
@@ -102,9 +101,12 @@ pub fn run_campaign_rotated(
         let _ev = sp2_trace::events::span(format!("rotate pass {p}"), "phase");
         let mut cfg = config.clone();
         cfg.selection = sel.clone();
-        passes.push(run_campaign_cfg_cancellable(
-            &cfg, library, trace, days, faults, engine, cancel,
-        )?);
+        let opts = RunOptions {
+            engine: *engine,
+            cancel,
+            spill: None,
+        };
+        passes.push(run_campaign(&cfg, library, trace, days, faults, opts)?);
     }
     Ok(RotatedCampaign {
         plan: plan.clone(),
@@ -115,7 +117,6 @@ pub fn run_campaign_rotated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_campaign_cfg;
     use sp2_hpm::nas_selection;
     use sp2_workload::{trace, CampaignSpec, JobMix};
 
@@ -144,7 +145,7 @@ mod tests {
         let (config, library, jobs, faults) = small_setup();
         // A request listing nas_selection's signals in slot order plans
         // a single pass equal to nas_selection itself, so the rotated
-        // path must literally be run_campaign_cfg.
+        // path must literally be run_campaign.
         let wanted: Vec<Signal> = nas_selection().slots().iter().map(|s| s.signal).collect();
         let plan = plan_signals(&wanted);
         assert!(plan.is_single_pass());
@@ -160,13 +161,13 @@ mod tests {
             None,
         )
         .expect("rotated runs");
-        let direct = run_campaign_cfg(
+        let direct = run_campaign(
             &config,
             &library,
             &jobs,
             2,
             &faults,
-            &EngineConfig::default(),
+            EngineConfig::default().into(),
         )
         .expect("direct runs");
         assert_eq!(rotated.passes.len(), 1);

@@ -19,7 +19,10 @@
 //! | 4 | at least one metric exceeded tolerance |
 //! | 5 | shape mismatch |
 
+use crate::archive;
+use crate::error::Sp2Error;
 use crate::json::Json;
+use std::path::Path;
 
 /// Per-metric tolerances. A differing metric is acceptable when its
 /// absolute difference is `<= abs` *or* its relative difference is
@@ -339,6 +342,46 @@ impl CompareReport {
     }
 }
 
+/// Reads one `compare` input into labeled dataset documents: an
+/// sp2-archive container's dataset lines, or an NDJSON stream (dataset
+/// events picked out; side-channel events skipped; plain JSON-per-line
+/// files compare whole lines). A line that is not valid JSON is a typed
+/// [`Sp2Error::Protocol`].
+pub fn load_input(path: &Path) -> Result<Vec<(String, Json)>, Sp2Error> {
+    let lines: Vec<String> = if archive::file_is_archive(path) {
+        archive::load_archive(path)?.dataset_lines
+    } else {
+        std::fs::read_to_string(path)?
+            .lines()
+            .map(str::to_string)
+            .collect()
+    };
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let doc = Json::parse(line)
+            .map_err(|e| Sp2Error::Protocol(format!("{} line {}: {e}", path.display(), i + 1)))?;
+        match doc.get("event").and_then(Json::as_str) {
+            Some("dataset") | None => {}
+            Some(_) => continue, // metrics/timeline side channel
+        }
+        let label = doc
+            .get("experiment")
+            .and_then(Json::as_str)
+            .map_or_else(|| format!("line {}", i + 1), str::to_string);
+        // Compare the dataset body, not the stream envelope: the `job`
+        // digest covers the seed, so leaving it in would turn every
+        // different-seed comparison into a string (shape) mismatch
+        // instead of a measured numeric difference.
+        let body = doc.get("doc").cloned().unwrap_or(doc);
+        out.push((label, body));
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,5 +469,22 @@ mod tests {
         let json = r.to_json().to_string_compact();
         assert!(json.contains("\"sp2-compare/v1\""), "{json}");
         assert!(json.contains("\"exit_code\":4"), "{json}");
+    }
+
+    #[test]
+    fn deeply_nested_input_line_is_a_typed_error() {
+        let path =
+            std::env::temp_dir().join(format!("sp2-compare-nested-{}.ndjson", std::process::id()));
+        let hostile = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let text = format!("{}\n{hostile}\n", doc(1.0).to_string_compact());
+        std::fs::write(&path, text).expect("writes input");
+        let err = load_input(&path).expect_err("nesting is rejected, not recursed");
+        let _ = std::fs::remove_file(&path);
+        match err {
+            Sp2Error::Protocol(msg) => {
+                assert!(msg.contains("line 2") && msg.contains("nesting"), "{msg}")
+            }
+            other => panic!("expected a protocol error, got {other}"),
+        }
     }
 }

@@ -5,7 +5,6 @@ use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput};
 use crate::json::{Json, ToJson};
 use crate::render;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::Signal;
 use sp2_power2::{measure_on_fresh_node, MachineConfig};
 use sp2_workload::kernels::{
@@ -13,7 +12,7 @@ use sp2_workload::kernels::{
 };
 
 /// One calibration measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationPoint {
     /// Kernel name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct CalibrationPoint {
 }
 
 /// The regenerated §5 calibration set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Calibration {
     /// Peak Mflops of the machine (267 at 66.7 MHz).
     pub peak_mflops: f64,

@@ -2,7 +2,7 @@
 //!
 //! Experiments export their datasets as JSON so external tooling can
 //! post-process them. The build environment vendors its dependencies, so
-//! rather than a full serde_json stand-in this module provides the one
+//! rather than a full JSON library this module provides the one
 //! thing the repo needs: a value tree plus a deterministic pretty
 //! printer. Object keys keep insertion order, which makes artifacts
 //! diff-stable across runs.
@@ -122,10 +122,14 @@ impl Json {
     /// numbers become [`Json::Num`], so integer precision is bounded by
     /// `f64` (the writer never emits more). Surrogate-pair `\u` escapes
     /// are rejected (the writer only escapes control characters).
+    /// Nesting deeper than 128 arrays/objects is rejected with a typed
+    /// error rather than recursing without bound, so a hostile line can
+    /// never overflow the stack.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -367,12 +371,19 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts — far beyond
+/// any document the repository writes, and shallow enough that the
+/// recursive-descent parser stays well inside a thread's stack.
+const MAX_NESTING: usize = 128;
+
 /// Recursive-descent parser over the raw bytes. String content is
 /// scanned bytewise — UTF-8 continuation bytes are all `>= 0x80`, so they
 /// can never be mistaken for the `"` and `\` delimiters.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -418,8 +429,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err("nesting deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -708,6 +730,23 @@ mod tests {
         }
         let err = Json::parse("{\"a\": 1} trailing").unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING),
+            "}".repeat(MAX_NESTING)
+        );
+        assert!(Json::parse(&objects).is_ok());
+        for hostile in [nested(MAX_NESTING + 1), "[".repeat(200_000)] {
+            let err = Json::parse(&hostile).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            assert_eq!(err.offset, MAX_NESTING);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::error::Sp2Error;
 use crate::experiments::{Dataset, Experiment, ExperimentInput, SelectionKind};
 use sp2_cluster::{
-    run_campaign_cfg_cancellable, run_campaign_rotated, run_replications, CampaignResult,
-    CancelToken, ClusterConfig, EngineConfig, FaultPlan, RotatedCampaign,
+    run_campaign, run_campaign_rotated, run_replications, CampaignResult, CancelToken,
+    ClusterConfig, EngineConfig, FaultPlan, RotatedCampaign, RunOptions,
 };
 use sp2_hpm::SchedulePlan;
 use sp2_power2::FastForward;
@@ -26,16 +26,15 @@ pub const DEFAULT_FAULT_SEED: u64 = 4_096;
 /// lazily runs and caches one campaign per `(counter selection,
 /// faulted)` pair so all thirteen experiments — including the
 /// `availability` report, which needs a fault-free twin — can share
-/// simulations. Campaigns run on the parallel engine — `threads`
-/// controls the worker count, and results are bit-identical at any
-/// thread count.
+/// simulations. Campaigns run on the parallel engine — the engine
+/// configuration's `threads` controls the worker count, and results are
+/// bit-identical at any thread count.
 pub struct Sp2System {
     config: ClusterConfig,
     library: WorkloadLibrary,
     mix: JobMix,
     spec: CampaignSpec,
     engine: EngineConfig,
-    threads: usize,
     fault_rate: f64,
     fault_seed: u64,
     cancel: Option<Arc<CancelToken>>,
@@ -165,8 +164,14 @@ impl Sp2SystemBuilder {
     /// already honors them) and building the workload library under its
     /// fast-forward policy.
     pub fn build(self) -> Sp2System {
-        crate::timeline::apply_engine_config(&self.engine);
-        let fast_forward = match self.engine.fast_forward {
+        // The explicit engine config wins; the builder's `threads` fills
+        // in when it leaves the pool size unset.
+        let engine = EngineConfig {
+            threads: Some(self.engine.threads.unwrap_or(self.threads)),
+            ..self.engine
+        };
+        crate::timeline::apply_engine_config(&engine);
+        let fast_forward = match engine.fast_forward {
             Some(false) => FastForward::Off,
             _ => FastForward::Auto,
         };
@@ -178,8 +183,7 @@ impl Sp2SystemBuilder {
             library,
             mix: self.mix,
             spec: self.spec,
-            engine: self.engine,
-            threads: self.threads,
+            engine,
             fault_rate: self.fault_rate,
             fault_seed: self.fault_seed,
             cancel: self.cancel,
@@ -216,19 +220,9 @@ impl Sp2System {
         &self.spec
     }
 
-    /// Campaign-engine worker threads (0 = one per core).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The engine configuration campaigns run under.
     pub fn engine(&self) -> &EngineConfig {
         &self.engine
-    }
-
-    /// Sets the worker-thread count for subsequent campaign runs.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// The configured fault-injection rate (0.0 = fault-free).
@@ -328,21 +322,12 @@ impl Sp2System {
         } else {
             FaultPlan::none()
         };
-        // The explicit engine config wins; the legacy `threads` knob
-        // fills in when it leaves the pool size unset.
-        let engine = EngineConfig {
-            threads: Some(self.engine.threads.unwrap_or(self.threads)),
-            ..self.engine
+        let opts = RunOptions {
+            engine: self.engine,
+            cancel: self.cancel.as_deref(),
+            spill: None,
         };
-        let result = run_campaign_cfg_cancellable(
-            &config,
-            &self.library,
-            &jobs,
-            self.spec.days,
-            &faults,
-            &engine,
-            self.cancel.as_deref(),
-        )?;
+        let result = run_campaign(&config, &self.library, &jobs, self.spec.days, &faults, opts)?;
         self.campaigns.insert((kind, faulted), result);
         Ok(())
     }
@@ -354,22 +339,13 @@ impl Sp2System {
     /// cached: the plan, not the system's selection, keys the result.
     pub fn rotated_campaign(&self, plan: &SchedulePlan) -> Result<RotatedCampaign, Sp2Error> {
         let jobs = trace::generate(&self.spec, &self.mix, &self.library);
-        let faults = if self.faulted() {
-            self.fault_plan()
-        } else {
-            FaultPlan::none()
-        };
-        let engine = EngineConfig {
-            threads: Some(self.engine.threads.unwrap_or(self.threads)),
-            ..self.engine
-        };
         Ok(run_campaign_rotated(
             &self.config,
             &self.library,
             &jobs,
             self.spec.days,
-            &faults,
-            &engine,
+            &self.fault_plan(),
+            &self.engine,
             plan,
             self.cancel.as_deref(),
         )?)
@@ -499,7 +475,7 @@ mod tests {
             .build();
         assert_eq!(sys.spec().days, 1);
         assert_eq!(sys.spec().seed, 11);
-        assert_eq!(sys.threads(), 2);
+        assert_eq!(sys.engine().threads, Some(2));
         assert_eq!(sys.fault_rate(), 0.5);
         assert_eq!(sys.fault_seed(), 9);
         assert!(sys.faulted());

@@ -5,11 +5,9 @@
 //! so the SCU `dcache_store` counter can see them, and every miss is a
 //! `dcache_reload` / `icache_reload` transfer.
 
-use serde::{Deserialize, Serialize};
-
 /// Store handling policy (ablation: Table 1's `dcache_store` semantics —
 /// castouts — exist only under write-back).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Stores dirty the line; memory sees data only on eviction (castout).
     WriteBack,
@@ -18,7 +16,7 @@ pub enum WritePolicy {
 }
 
 /// Cache geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub bytes: u64,
@@ -41,7 +39,7 @@ impl CacheConfig {
 }
 
 /// Outcome of a single cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Whether the line was already resident.
     pub hit: bool,

@@ -11,7 +11,6 @@ use crate::cache::Cache;
 use crate::config::{FpuDispatch, MachineConfig};
 use crate::steady::{self, Detector, FastForwardReport, Verdict};
 use crate::tlb::{Tlb, TlbConfig};
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
 use sp2_isa::op::{BrKind, FpOp, FxOp, Op};
 use sp2_isa::reg::SCOREBOARD_SLOTS;
@@ -22,7 +21,7 @@ use sp2_isa::{AddrGen, Inst, Kernel};
 const DISPATCH_LEAD: u64 = 4;
 
 /// Fast-forward policy for one kernel run (see [`KernelRun`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FastForward {
     /// Engage the steady-state detector when the process-wide switch
     /// ([`crate::steady::fast_forward_enabled`]) is on and the kernel is
@@ -38,7 +37,7 @@ pub enum FastForward {
 }
 
 /// How much of the run's machinery to report back (see [`KernelRun`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Detail {
     /// Just the [`RunStats`] (the common case).
     #[default]
@@ -119,7 +118,7 @@ impl<'k> From<&'k Kernel> for KernelRun<'k> {
 ///
 /// Derefs to [`RunStats`], so `report.events`, `report.cycles`, and
 /// `report.mflops(..)` read straight through.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
     /// Events and timing of the run.
     pub stats: RunStats,
@@ -136,7 +135,7 @@ impl std::ops::Deref for KernelReport {
 }
 
 /// Outcome of running one kernel on a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Raw monitor events produced by the run.
     pub events: EventSet,

@@ -9,12 +9,11 @@
 
 use crate::config::MachineConfig;
 use crate::node::{FastForward, KernelRun, Node};
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
 use sp2_isa::Kernel;
 
 /// Measured behaviour of one kernel on one node configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSignature {
     /// Kernel name.
     pub name: String,

@@ -59,7 +59,6 @@
 use crate::cache::Cache;
 use crate::node::{LoopState, Node};
 use crate::tlb::Tlb;
-use serde::{Deserialize, Serialize};
 use sp2_hpm::{EventSet, Signal};
 use sp2_isa::reg::SCOREBOARD_SLOTS;
 use sp2_isa::{AddrGen, Kernel};
@@ -93,7 +92,7 @@ const MAX_WINDOW_CAP: u64 = 1 << 22;
 
 /// What one kernel run's fast-forward machinery did (returned by
 /// [`Node::run_kernel`] at [`crate::node::Detail::Full`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastForwardReport {
     /// Whether the detector ran at all (false for forced-full runs and
     /// for runs below [`MIN_ITERS`]).

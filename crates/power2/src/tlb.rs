@@ -4,10 +4,8 @@
 //! costs 36–54 cycles (paper §2/§5). Modeled as a set-associative cache of
 //! page numbers with true LRU within a set.
 
-use serde::{Deserialize, Serialize};
-
 /// TLB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total entries (512 on the POWER2).
     pub entries: usize,

@@ -27,8 +27,8 @@
 //! configuration, 5 campaign spec or submission, 6 campaign engine,
 //! 7 artifact i/o, 8 service protocol.
 
-use sp2_repro::cluster::{EngineConfig, EngineKind};
-use sp2_repro::core::compare::compare_datasets;
+use sp2_repro::cluster::EngineConfig;
+use sp2_repro::core::compare::{compare_datasets, load_input};
 use sp2_repro::core::experiments::{all_experiments, experiment_or_err, SelectionKind};
 use sp2_repro::core::serve::{self, Client, ServeConfig, Server};
 use sp2_repro::core::{
@@ -98,11 +98,6 @@ OPTIONS:
     --faults RATE   fault-injection rate (default 0 = fault-free; 1.0 is
                     roughly a troubled production month)
     --fault-seed N  seed for the fault plan (default 4096)
-    --engine KIND   node engine: `batch` (default; struct-of-arrays bank
-                    with interned plans and cluster-interval
-                    fast-forward) or `reference` (the per-node loop the
-                    batch engine is proven against). Results are
-                    bit-identical either way
     --no-fast-forward
                     disable the steady-state fast-forward in the node
                     simulator (kernel measurement and cluster-interval
@@ -205,7 +200,6 @@ struct Args {
     faults: f64,
     fault_seed: u64,
     json: bool,
-    engine: EngineKind,
     fast_forward: bool,
     /// `None` = tracing off; `Some(None)` = `--metrics` (table to stderr);
     /// `Some(Some(path))` = `--metrics PATH` (JSON to the file).
@@ -257,9 +251,9 @@ fn parse_args() -> Result<Args, String> {
 /// spawning a process.
 ///
 /// The command is the **first non-option token** — global options
-/// compose identically before and after it (`sp2 --engine reference
-/// submit …` ≡ `sp2 submit --engine reference …`). Up to two further
-/// positional tokens ride along (`probe matmul`, `jobs status 3f2a`).
+/// compose identically before and after it (`sp2 --days 30 submit …` ≡
+/// `sp2 submit --days 30 …`). Up to two further positional tokens ride
+/// along (`probe matmul`, `jobs status 3f2a`).
 fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut argv = argv.into_iter().peekable();
     let mut args = Args {
@@ -271,7 +265,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
         faults: 0.0,
         fault_seed: 4_096,
         json: false,
-        engine: EngineKind::default(),
         fast_forward: true,
         metrics: None,
         trace_out: None,
@@ -326,16 +319,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Args, Strin
                     .map_err(|_| format!("bad --fault-seed value: {v}"))?;
             }
             "--json" => args.json = true,
-            "--engine" => {
-                let v = argv
-                    .next()
-                    .ok_or("--engine needs a value (batch|reference)")?;
-                args.engine = match v.as_str() {
-                    "batch" => EngineKind::Batch,
-                    "reference" => EngineKind::Reference,
-                    other => return Err(format!("bad --engine value: {other} (batch|reference)")),
-                };
-            }
             "--no-fast-forward" => args.fast_forward = false,
             "--metrics" => {
                 // The optional PATH is whatever non-option token follows;
@@ -562,9 +545,7 @@ fn dump_trace(path: &str) -> Result<(), CliError> {
 /// run executes under. No process state changes here — the switches take
 /// effect when the config is applied.
 fn engine_config(args: &Args) -> EngineConfig {
-    let mut engine = EngineConfig::default()
-        .engine(args.engine)
-        .threads(args.threads);
+    let mut engine = EngineConfig::default().threads(args.threads);
     // The trace layer stays off (one relaxed atomic load per record site)
     // unless this invocation actually wants measurements.
     if args.metrics.is_some() || args.command == "profile" {
@@ -859,48 +840,6 @@ fn cmd_archive(args: &Args, engine: EngineConfig) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Reads one `compare` input into labeled dataset documents: an
-/// sp2-archive container's dataset lines, or an NDJSON stream (dataset
-/// events picked out; side-channel events skipped; plain JSON-per-line
-/// files compare whole lines).
-fn load_compare_input(path: &str) -> Result<Vec<(String, Json)>, CliError> {
-    let p = std::path::Path::new(path);
-    let lines = if archive::file_is_archive(p) {
-        archive::load_archive(p)?.dataset_lines
-    } else {
-        std::fs::read_to_string(p)
-            .map_err(|e| CliError::Sp2(Sp2Error::Io(e)))?
-            .lines()
-            .map(str::to_string)
-            .collect()
-    };
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let doc = Json::parse(line).map_err(|e| {
-            CliError::Sp2(Sp2Error::Protocol(format!("{path} line {}: {e}", i + 1)))
-        })?;
-        match doc.get("event").and_then(Json::as_str) {
-            Some("dataset") | None => {}
-            Some(_) => continue, // metrics/timeline side channel
-        }
-        let label = doc
-            .get("experiment")
-            .and_then(Json::as_str)
-            .map_or_else(|| format!("line {}", i + 1), str::to_string);
-        // Compare the dataset body, not the stream envelope: the `job`
-        // digest covers the seed, so leaving it in would turn every
-        // different-seed comparison into a string (shape) mismatch
-        // instead of a measured numeric difference.
-        let body = doc.get("doc").cloned().unwrap_or(doc);
-        out.push((label, body));
-    }
-    Ok(out)
-}
-
 /// `sp2 compare A B`: dataset-by-dataset diff with per-metric
 /// tolerances. The verdict is the exit code: 0 bit-identical, 3 within
 /// tolerance, 4 exceeded, 5 shape mismatch.
@@ -917,8 +856,8 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, CliError> {
         rel: args.rel_tol.unwrap_or(Tolerance::default().rel),
         abs: args.abs_tol.unwrap_or(0.0),
     };
-    let left = load_compare_input(a)?;
-    let right = load_compare_input(b)?;
+    let left = load_input(std::path::Path::new(a))?;
+    let right = load_input(std::path::Path::new(b))?;
     let report = compare_datasets(&left, &right, tolerance);
     if args.json {
         println!("{}", report.to_json().to_string_pretty());
@@ -1140,6 +1079,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp2_repro::cluster::EngineKind;
 
     fn parse(tokens: &[&str]) -> Result<Args, String> {
         parse_args_from(tokens.iter().map(|t| t.to_string()))
@@ -1169,24 +1109,11 @@ mod tests {
         assert_eq!(args.days, 60);
         assert_eq!(args.threads, 1);
         assert_eq!(args.cadence, 1);
-        assert_eq!(args.engine, EngineKind::Batch);
+        assert_eq!(engine_config(&args).engine, EngineKind::Batch);
         assert!(args.fast_forward);
         assert!(args.trace_out.is_none());
         assert!(args.metrics.is_none());
         assert!(!args.json);
-    }
-
-    #[test]
-    fn engine_flag_selects_the_kind() {
-        let args = parse(&["campaign", "--engine", "reference"]).expect("parses");
-        assert_eq!(args.engine, EngineKind::Reference);
-        assert_eq!(engine_config(&args).engine, EngineKind::Reference);
-
-        let args = parse(&["campaign", "--engine", "batch"]).expect("parses");
-        assert_eq!(args.engine, EngineKind::Batch);
-
-        assert!(parse(&["campaign", "--engine", "turbo"]).is_err());
-        assert!(parse(&["campaign", "--engine"]).is_err());
     }
 
     #[test]
@@ -1251,8 +1178,6 @@ mod tests {
     #[test]
     fn global_flags_compose_before_and_after_the_command() {
         let before = parse(&[
-            "--engine",
-            "reference",
             "-j",
             "1",
             "--days",
@@ -1266,8 +1191,6 @@ mod tests {
         let after = parse(&[
             "submit",
             "table2",
-            "--engine",
-            "reference",
             "-j",
             "1",
             "--days",
@@ -1279,7 +1202,6 @@ mod tests {
         for args in [&before, &after] {
             assert_eq!(args.command, "submit");
             assert_eq!(args.arg.as_deref(), Some("table2"));
-            assert_eq!(args.engine, EngineKind::Reference);
             assert_eq!(args.threads, 1);
             assert_eq!(args.days, 30);
             assert_eq!(args.trace_out.as_deref(), Some("t.json"));

@@ -5,7 +5,7 @@
 //! current interval.
 
 use sp2_repro::cluster::{
-    run_campaign_cfg, run_campaign_cfg_spill, ClusterConfig, EngineConfig, FaultPlan, SampleSink,
+    run_campaign, ClusterConfig, EngineConfig, FaultPlan, RunOptions, SampleSink,
 };
 use sp2_repro::core::archive::{read_archive, ArchiveWriter, CampaignMeta};
 use sp2_repro::core::experiments::SelectionKind;
@@ -59,15 +59,16 @@ fn multi_month_campaign_aggregates_in_bounded_memory() {
     // An idle machine (empty trace) is the worst case for residency:
     // every sweep is steady, so without the spill cap the fast-forward
     // would gather the whole campaign as one run.
-    let result = run_campaign_cfg_spill(
+    let result = run_campaign(
         &config,
         &library,
         &[],
         DAYS,
         &FaultPlan::none(),
-        &engine,
-        None,
-        Some(&mut meter),
+        RunOptions {
+            spill: Some(&mut meter),
+            ..engine.into()
+        },
     )
     .expect("spilling campaign runs");
 
@@ -89,8 +90,15 @@ fn multi_month_campaign_aggregates_in_bounded_memory() {
     let loaded = read_archive(&bytes[..]).expect("archive decodes");
     let replay = loaded.campaign.expect("campaign present");
     assert_eq!(replay.samples.len(), expected);
-    let resident = run_campaign_cfg(&config, &library, &[], DAYS, &FaultPlan::none(), &engine)
-        .expect("resident campaign runs");
+    let resident = run_campaign(
+        &config,
+        &library,
+        &[],
+        DAYS,
+        &FaultPlan::none(),
+        engine.into(),
+    )
+    .expect("resident campaign runs");
     assert_eq!(
         replay.samples, resident.samples,
         "spill+archive is lossless"
@@ -118,15 +126,16 @@ fn spill_max_run_tunes_residency_without_changing_results() {
             max_batch: 0,
             drains: 0,
         };
-        run_campaign_cfg_spill(
+        run_campaign(
             &config,
             &library,
             &[],
             DAYS,
             &FaultPlan::none(),
-            &engine,
-            None,
-            Some(&mut meter),
+            RunOptions {
+                spill: Some(&mut meter),
+                ..engine.into()
+            },
         )
         .expect("spilling campaign runs");
         meter

@@ -6,7 +6,7 @@
 //! totals must dominate the job-report totals (job windows are a subset
 //! of node-time; idle/system background adds more on top).
 
-use sp2_repro::cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{run_campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_repro::hpm::{nas_selection, Signal};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
@@ -20,8 +20,15 @@ fn daemon_totals_dominate_job_totals() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let r = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-        .expect("campaign runs");
+    let r = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &FaultPlan::none(),
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
 
     let sel = nas_selection();
     for signal in [
@@ -52,8 +59,15 @@ fn system_mode_events_come_from_paging_and_background_only() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let r = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-        .expect("campaign runs");
+    let r = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &FaultPlan::none(),
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
 
     let sel = nas_selection();
     let fpu_slot = sel.slot_of(Signal::Fpu0Fma).unwrap();
@@ -78,8 +92,15 @@ fn job_walltime_never_exceeds_pbs_accounting() {
         ..Default::default()
     };
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let r = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-        .expect("campaign runs");
+    let r = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &FaultPlan::none(),
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
 
     let total_job_node_seconds: f64 = r
         .pbs_records

@@ -4,7 +4,9 @@
 //! regeneration rely on), and an empty fault plan leaves the engine
 //! bit-identical to a fault-free run at any thread count.
 
-use sp2_repro::cluster::{run_campaign, CampaignResult, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{
+    run_campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
+};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, WorkloadLibrary};
 
 fn fixture(days: u32, seed: u64) -> (ClusterConfig, WorkloadLibrary, CampaignSpec) {
@@ -23,8 +25,15 @@ fn identical_seeds_identical_campaigns() {
     let run = || {
         let (config, library, spec) = fixture(3, 45);
         let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-        run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-            .expect("campaign runs")
+        run_campaign(
+            &config,
+            &library,
+            &jobs,
+            spec.days,
+            &FaultPlan::none(),
+            EngineConfig::default().engine(EngineKind::Reference).into(),
+        )
+        .expect("campaign runs")
     };
     let a = run();
     let b = run();
@@ -46,8 +55,15 @@ fn different_seeds_different_campaigns() {
     let run = |seed: u64| {
         let (config, library, spec) = fixture(3, seed);
         let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-        run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-            .expect("campaign runs")
+        run_campaign(
+            &config,
+            &library,
+            &jobs,
+            spec.days,
+            &FaultPlan::none(),
+            EngineConfig::default().engine(EngineKind::Reference).into(),
+        )
+        .expect("campaign runs")
     };
     let a = run(1);
     let b = run(2);
@@ -90,19 +106,28 @@ fn assert_campaigns_identical(a: &CampaignResult, b: &CampaignResult) {
 
 #[test]
 fn parallel_campaigns_bit_identical_at_any_thread_count() {
-    use sp2_repro::cluster::run_campaign_with_threads;
     let (config, library, spec) = fixture(2, 45);
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
-    let serial = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-        .expect("campaign runs");
+    let serial = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &FaultPlan::none(),
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
     for threads in [1, 2, 8] {
-        let parallel = run_campaign_with_threads(
+        let parallel = run_campaign(
             &config,
             &library,
             &jobs,
             spec.days,
-            threads,
             &FaultPlan::none(),
+            EngineConfig::default()
+                .engine(EngineKind::Reference)
+                .threads(threads)
+                .into(),
         )
         .expect("campaign runs");
         assert_campaigns_identical(&serial, &parallel);
@@ -115,14 +140,38 @@ fn faulted_campaigns_bit_identical_per_fault_seed() {
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
     let plan = FaultPlan::generate(config.nodes, spec.days, 1.5, 77);
     assert!(!plan.is_empty());
-    let a = run_campaign(&config, &library, &jobs, spec.days, &plan).expect("campaign runs");
-    let b = run_campaign(&config, &library, &jobs, spec.days, &plan).expect("campaign runs");
+    let a = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &plan,
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
+    let b = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &plan,
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
     assert!(a.faults.enabled);
     assert_campaigns_identical(&a, &b);
 
     // A different fault seed must perturb the run.
     let other = FaultPlan::generate(config.nodes, spec.days, 1.5, 78);
-    let c = run_campaign(&config, &library, &jobs, spec.days, &other).expect("campaign runs");
+    let c = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &other,
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
     assert_ne!(
         (a.faults.outages, a.faults.missed_sweeps, a.samples.len()),
         (c.faults.outages, c.faults.missed_sweeps, c.samples.len()),
@@ -132,15 +181,31 @@ fn faulted_campaigns_bit_identical_per_fault_seed() {
 
 #[test]
 fn faulted_campaigns_bit_identical_across_thread_counts() {
-    use sp2_repro::cluster::run_campaign_with_threads;
     let (config, library, spec) = fixture(2, 45);
     let jobs = trace::generate(&spec, &JobMix::nas(), &library);
     let plan = FaultPlan::generate(config.nodes, spec.days, 1.5, 77);
-    let serial = run_campaign(&config, &library, &jobs, spec.days, &plan).expect("campaign runs");
+    let serial = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        spec.days,
+        &plan,
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("campaign runs");
     for threads in [2, 8] {
-        let parallel =
-            run_campaign_with_threads(&config, &library, &jobs, spec.days, threads, &plan)
-                .expect("campaign runs");
+        let parallel = run_campaign(
+            &config,
+            &library,
+            &jobs,
+            spec.days,
+            &plan,
+            EngineConfig::default()
+                .engine(EngineKind::Reference)
+                .threads(threads)
+                .into(),
+        )
+        .expect("campaign runs");
         assert_campaigns_identical(&serial, &parallel);
     }
 }
@@ -159,8 +224,15 @@ fn replications_match_individually_run_campaigns() {
             ..base
         };
         let jobs = trace::generate(&spec, &mix, &library);
-        let solo = run_campaign(&config, &library, &jobs, spec.days, &FaultPlan::none())
-            .expect("campaign runs");
+        let solo = run_campaign(
+            &config,
+            &library,
+            &jobs,
+            spec.days,
+            &FaultPlan::none(),
+            EngineConfig::default().engine(EngineKind::Reference).into(),
+        )
+        .expect("campaign runs");
         assert_campaigns_identical(rep, &solo);
     }
 }

@@ -10,9 +10,7 @@
 //! skewed job mixes full of wide jobs and churn, and fault plans that
 //! crash, reboot, and glitch nodes mid-campaign.
 
-use sp2_repro::cluster::{
-    run_campaign, run_campaign_cfg, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
-};
+use sp2_repro::cluster::{run_campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_repro::workload::{trace, CampaignSpec, JobMix, SubmittedJob, WorkloadLibrary};
 
 /// A mix deliberately unlike the NAS production mix: dominated by wide
@@ -42,7 +40,15 @@ fn assert_engines_equivalent(mix: &JobMix, days: u32, seed: u64, faults: &FaultP
         ..Default::default()
     };
     let jobs = trace::generate(&spec, mix, &library);
-    let reference = run_campaign(&config, &library, &jobs, days, faults).expect("reference runs");
+    let reference = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        days,
+        faults,
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("reference runs");
 
     let mut runs = vec![(
         "reference/8",
@@ -54,7 +60,7 @@ fn assert_engines_equivalent(mix: &JobMix, days: u32, seed: u64, faults: &FaultP
         runs.push(("batch", EngineConfig::default().threads(threads)));
     }
     for (label, engine) in runs {
-        let other = run_campaign_cfg(&config, &library, &jobs, days, faults, &engine)
+        let other = run_campaign(&config, &library, &jobs, days, faults, engine.into())
             .expect("campaign runs");
         let tag = format!("{label} threads={:?}", engine.threads);
         assert_eq!(reference.samples, other.samples, "{tag}: samples");
@@ -92,7 +98,15 @@ fn assert_adversarial_equivalent(
     let config = ClusterConfig::default();
     let library = WorkloadLibrary::build(&config.machine, 42);
     let jobs = build(&library);
-    let reference = run_campaign(&config, &library, &jobs, days, faults).expect("reference runs");
+    let reference = run_campaign(
+        &config,
+        &library,
+        &jobs,
+        days,
+        faults,
+        EngineConfig::default().engine(EngineKind::Reference).into(),
+    )
+    .expect("reference runs");
 
     let mut runs = Vec::new();
     for threads in [1usize, 8] {
@@ -102,7 +116,7 @@ fn assert_adversarial_equivalent(
     }
     for engine in runs {
         let other =
-            run_campaign_cfg(&config, &library, &jobs, days, faults, &engine).expect("runs");
+            run_campaign(&config, &library, &jobs, days, faults, engine.into()).expect("runs");
         let tag = format!(
             "threads={:?} fast_forward={:?}",
             engine.threads, engine.fast_forward
@@ -119,7 +133,7 @@ fn assert_adversarial_equivalent(
             );
         }
     }
-    // `run_campaign_cfg` pushed the explicit fast-forward switch into
+    // `run_campaign` pushed the explicit fast-forward switch into
     // the process global; put the default back for neighboring tests.
     sp2_repro::power2::set_fast_forward_enabled(true);
 }

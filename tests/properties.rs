@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and invariants.
 
 use proptest::prelude::*;
-use sp2_repro::cluster::{run_campaign, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{run_campaign, ClusterConfig, EngineConfig, EngineKind, FaultPlan};
 use sp2_repro::hpm::{
     nas_selection, CounterDelta, CounterSelection, EventSet, Hpm, Mode, SchedulePlan, Signal,
     SignalGroup,
@@ -302,7 +302,7 @@ proptest! {
                 plan.add_outage(node, 0.0, horizon + 1.0);
             }
         }
-        let r = run_campaign(config, library, jobs, *days, &plan)
+        let r = run_campaign(config, library, jobs, *days, &plan, EngineConfig::default().engine(EngineKind::Reference).into())
             .expect("campaign survives any fault plan");
         for s in &r.samples {
             prop_assert!(s.nodes_sampled <= s.nodes_total,

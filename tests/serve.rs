@@ -10,6 +10,8 @@
 //!    the daemon keeps serving.
 //! 3. **Digest-hit replay** — a completed digest is served from the
 //!    store (`stored:true`) byte-for-byte, without re-running.
+//! 4. **Hostile input** — a request line nested 200,000 levels deep is
+//!    refused without taking the daemon down.
 //!
 //! The tests share one process (the workload library and the
 //! fast-forward switch are process-global), so they serialize on a
@@ -18,6 +20,8 @@
 use sp2_repro::cluster::{EngineConfig, EngineKind};
 use sp2_repro::core::serve::{self, Client, ServeConfig, Server, ServerHandle, Store};
 use sp2_repro::core::{Json, Submission};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -237,4 +241,41 @@ fn digest_hit_replays_without_rerunning() {
     second.shutdown().expect("clean shutdown");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_request_line_leaves_the_daemon_serving() {
+    let _serial = lock();
+    let server = spawn_server("nested", 1, EngineConfig::default().threads(1));
+    let addr = server.addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    let mut hostile = "[".repeat(200_000);
+    hostile.push('\n');
+    // The server may answer and hang up before reading the whole line;
+    // a failed write is that hang-up, not a test failure.
+    let _ = stream.write_all(hostile.as_bytes());
+    let mut response = String::new();
+    match BufReader::new(&stream).read_line(&mut response) {
+        Ok(0) | Err(_) => {} // connection closed
+        Ok(_) => {
+            let doc = Json::parse(&response).expect("the refusal is valid JSON");
+            assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+            assert_eq!(doc.get("code").and_then(Json::as_str), Some("protocol"));
+        }
+    }
+    drop(stream);
+
+    let sub = Submission::builder()
+        .days(2)
+        .seed(1_996)
+        .experiment("table1")
+        .build()
+        .expect("valid submission");
+    let mut client = Client::connect(addr).expect("daemon still accepts connections");
+    let outcome = client.submit_and_wait(&sub).expect("submission succeeds");
+    assert!(outcome.is_done(), "terminal: {:?}", outcome.terminal);
+    assert!(!outcome.dataset_lines.is_empty());
+
+    server.shutdown().expect("clean shutdown");
 }

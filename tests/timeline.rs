@@ -5,7 +5,9 @@
 //! trace export round-trips through the JSON parser with every phase and
 //! job span intact and zero silently-dropped events.
 
-use sp2_repro::cluster::{run_campaign_with_threads, CampaignResult, ClusterConfig, FaultPlan};
+use sp2_repro::cluster::{
+    run_campaign, CampaignResult, ClusterConfig, EngineConfig, EngineKind, FaultPlan,
+};
 use sp2_repro::core::{metrics, timeline, Json};
 use sp2_repro::trace::{self, events, recorder};
 use sp2_repro::workload::{CampaignSpec, JobMix, WorkloadLibrary};
@@ -34,8 +36,18 @@ fn small_campaign(days: u32, threads: usize) -> CampaignResult {
     };
     let jobs = sp2_repro::workload::trace::generate(&spec, &small_mix(), &library);
     let faults = FaultPlan::generate(8, days, 1.0, 1996);
-    run_campaign_with_threads(&config, &library, &jobs, days, threads, &faults)
-        .expect("campaign runs")
+    run_campaign(
+        &config,
+        &library,
+        &jobs,
+        days,
+        &faults,
+        EngineConfig::default()
+            .engine(EngineKind::Reference)
+            .threads(threads)
+            .into(),
+    )
+    .expect("campaign runs")
 }
 
 fn assert_same_campaign(a: &CampaignResult, b: &CampaignResult) {

@@ -17,7 +17,7 @@
 use std::sync::OnceLock;
 
 use sp2_repro::cluster::{
-    plan_signals, run_campaign_cfg, run_campaign_rotated, ClusterConfig, EngineConfig, FaultPlan,
+    plan_signals, run_campaign, run_campaign_rotated, ClusterConfig, EngineConfig, FaultPlan,
     RotatedCampaign,
 };
 use sp2_repro::core::toplev::{bottleneck_tree, TreeNode};
@@ -99,8 +99,15 @@ fn single_pass_rotation_is_bit_identical_with_error_exactly_zero() {
         None,
     )
     .expect("rotated campaign runs");
-    let direct = run_campaign_cfg(&cfg, library, jobs, 2, faults, &EngineConfig::default())
-        .expect("direct campaign runs");
+    let direct = run_campaign(
+        &cfg,
+        library,
+        jobs,
+        2,
+        faults,
+        EngineConfig::default().into(),
+    )
+    .expect("direct campaign runs");
     assert_eq!(rotated.passes.len(), 1);
     assert_eq!(rotated.passes[0].samples, direct.samples);
     assert_eq!(rotated.passes[0].job_reports, direct.job_reports);
